@@ -700,59 +700,21 @@ def _scenario_summary(scenario) -> str:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.analysis.tables import format_table
-    from repro.core.outcomes import Outcome
     from repro.parallel import run_sharded_campaign
     from repro.reliability.sudokumodel import SuDokuReliabilityModel
-    from repro.resilience import ChaosPolicy
 
-    level, ber = args.level, args.ber
-    intervals, group_size, seed = args.intervals, args.group_size, args.seed
-    telemetry, make_progress = _build_telemetry(args)
-    resilience = _resilience_kwargs(args)
-    policy = ChaosPolicy(
-        plt_flip_rate=args.plt_flip_rate,
-        map_swap_rate=args.map_swap_rate,
-        visit_drop_rate=args.visit_drop_rate,
-        visit_duplicate_rate=args.visit_duplicate_rate,
-    )
     if args.scenario:
         # A mixed scenario routes through the scenario engine (whose
         # RNG model supports burst/stuck sources); the file is
         # authoritative, including its transient BER.
-        from repro.parallel import run_sharded_scenario
-
-        scenario = _load_scenario_file(args.scenario)
-        started = time.perf_counter()
-        print(
-            f"running SuDoku-{level} scenario campaign: "
-            f"{_scenario_summary(scenario)}, {intervals} intervals, "
-            f"{group_size * group_size} lines"
-            + (" [chaos enabled]" if policy.enabled else "")
-            + (f" [{args.shards} shards]" if args.shards > 1 else "")
+        return _run_scenario(
+            args, "campaign", args.level, _load_scenario_file(args.scenario)
         )
-        result = run_sharded_scenario(
-            level, scenario, intervals, group_size,
-            shards=args.shards, seed=seed, telemetry=telemetry,
-            progress=make_progress(intervals, f"scenario-{level}"),
-            chaos_policy=policy if policy.enabled else None,
-            chaos_seed=args.chaos_seed,
-            scrub_mode=args.scrub_mode, backend=args.backend,
-            **resilience,
-        )
-        _print_scenario_result(level, scenario, result)
-        _write_result_out(args, _scenario_payload(level, scenario, result))
-        _export_telemetry(
-            args, telemetry, "campaign",
-            {
-                "level": level, "scenario": scenario.as_dict(),
-                "intervals": intervals, "group_size": group_size,
-                "shards": args.shards, "chaos": policy.as_dict(),
-            },
-            seed,
-            {"total": time.perf_counter() - started},
-        )
-        return _truncation_exit(result)
+    level, ber = args.level, args.ber
+    intervals, group_size, seed = args.intervals, args.group_size, args.seed
+    telemetry, make_progress = _build_telemetry(args)
+    resilience = _resilience_kwargs(args)
+    policy = _chaos_policy(args)
     started = time.perf_counter()
     print(
         f"running SuDoku-{level} campaign: BER {ber:g}, {intervals} intervals, "
@@ -765,8 +727,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         shards=args.shards, seed=seed,
         telemetry=telemetry,
         progress=make_progress(intervals, f"campaign-{level}"),
-        chaos_policy=policy if policy.enabled else None,
-        chaos_seed=args.chaos_seed,
+        chaos_policy=policy, chaos_seed=args.chaos_seed,
         scrub_mode=args.scrub_mode, backend=args.backend,
         **resilience,
     )
@@ -776,17 +737,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     predicted = {
         "X": model.cache_fail_x, "Y": model.cache_fail_y, "Z": model.cache_fail_z,
     }[level]()
-    low, high = result.wilson_interval()
-    rows = [
-        ["intervals completed", result.intervals],
-        ["measured P(fail)/interval", result.failure_probability],
-        ["95% CI", f"[{low:.4f}, {high:.4f}]"],
-        ["analytical model", predicted],
-        ["SDC events", result.outcomes.get(Outcome.SDC.value, 0)],
-    ]
-    rows += [[f"outcome: {k}", v] for k, v in sorted(result.outcomes.items())]
-    rows += [[f"metadata: {k}", v] for k, v in sorted(result.metadata.items())]
-    print(format_table(["quantity", "value"], rows))
+    _print_campaign_result(result, ["analytical model", predicted])
     _write_result_out(args, result.as_dict())
     _export_telemetry(
         args, telemetry, "campaign",
@@ -801,17 +752,18 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     return _truncation_exit(result)
 
 
-def _print_scenario_result(scheme: str, scenario, result) -> None:
+def _print_campaign_result(result, estimate_row, head_rows=()) -> None:
+    """The campaign result table; ``estimate_row`` is the FIT/model row."""
     from repro.analysis.tables import format_table
     from repro.core.outcomes import Outcome
 
     low, high = result.wilson_interval()
     rows = [
-        ["scheme", scheme],
+        *head_rows,
         ["intervals completed", result.intervals],
         ["measured P(fail)/interval", result.failure_probability],
         ["95% CI", f"[{low:.4f}, {high:.4f}]"],
-        ["measured FIT", result.fit()],
+        estimate_row,
         ["SDC events", result.outcomes.get(Outcome.SDC.value, 0)],
     ]
     rows += [[f"outcome: {k}", v] for k, v in sorted(result.outcomes.items())]
@@ -819,22 +771,72 @@ def _print_scenario_result(scheme: str, scenario, result) -> None:
     print(format_table(["quantity", "value"], rows))
 
 
-def _scenario_payload(scheme: str, scenario, result) -> Dict[str, object]:
-    """Result JSON for scenario runs: campaign aggregates + the spec."""
-    payload = dict(result.as_dict())
-    payload["scheme"] = scheme
-    payload["scenario"] = scenario.as_dict()
-    return payload
+def _chaos_policy(args: argparse.Namespace):
+    """The :class:`ChaosPolicy` the four chaos-rate flags describe."""
+    from repro.resilience import ChaosPolicy
+
+    return ChaosPolicy(
+        plt_flip_rate=args.plt_flip_rate,
+        map_swap_rate=args.map_swap_rate,
+        visit_drop_rate=args.visit_drop_rate,
+        visit_duplicate_rate=args.visit_duplicate_rate,
+    )
+
+
+def _run_scenario(
+    args: argparse.Namespace, command: str, scheme: str, scenario
+) -> int:
+    """Run, print, and export one scenario campaign (``scenario`` and
+    ``campaign --scenario`` share this path, so their results agree)."""
+    from repro.parallel import run_sharded_scenario
+
+    intervals, group_size = args.intervals, args.group_size
+    telemetry, make_progress = _build_telemetry(args)
+    resilience = _resilience_kwargs(args)
+    policy = _chaos_policy(args)
+    started = time.perf_counter()
+    print(
+        f"running {scheme} scenario campaign: "
+        f"{_scenario_summary(scenario)}, {intervals} intervals, "
+        f"{group_size * group_size} lines"
+        + (" [chaos enabled]" if policy.enabled else "")
+        + (f" [{args.shards} shards]" if args.shards > 1 else "")
+    )
+    result = run_sharded_scenario(
+        scheme, scenario, intervals, group_size,
+        shards=args.shards, seed=args.seed, telemetry=telemetry,
+        progress=make_progress(intervals, f"scenario-{scheme}"),
+        chaos_policy=policy, chaos_seed=args.chaos_seed,
+        scrub_mode=args.scrub_mode, backend=args.backend,
+        **resilience,
+    )
+    _print_campaign_result(
+        result, ["measured FIT", result.fit()], [["scheme", scheme]]
+    )
+    # Result JSON for scenario runs: campaign aggregates + the spec.
+    _write_result_out(
+        args,
+        {**result.as_dict(), "scheme": scheme, "scenario": scenario.as_dict()},
+    )
+    _export_telemetry(
+        args, telemetry, command,
+        {
+            "scheme": scheme, "scenario": scenario.as_dict(),
+            "intervals": intervals, "group_size": group_size,
+            "shards": args.shards, "chaos": policy.as_dict(),
+        },
+        args.seed,
+        {"total": time.perf_counter() - started},
+    )
+    return _truncation_exit(result)
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
-    from repro.parallel import run_sharded_scenario
     from repro.reliability.scenario import (
         BurstSpec,
         FaultScenario,
         StuckSpec,
     )
-    from repro.resilience import ChaosPolicy
 
     if args.scenario:
         scenario = _load_scenario_file(args.scenario)
@@ -857,44 +859,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
             )
         except ValueError as error:
             raise SystemExit(f"repro: error: {error}")
-    telemetry, make_progress = _build_telemetry(args)
-    resilience = _resilience_kwargs(args)
-    policy = ChaosPolicy(
-        plt_flip_rate=args.plt_flip_rate,
-        map_swap_rate=args.map_swap_rate,
-        visit_drop_rate=args.visit_drop_rate,
-        visit_duplicate_rate=args.visit_duplicate_rate,
-    )
-    started = time.perf_counter()
-    print(
-        f"running {args.scheme} scenario campaign: "
-        f"{_scenario_summary(scenario)}, {args.intervals} intervals, "
-        f"{args.group_size * args.group_size} lines"
-        + (" [chaos enabled]" if policy.enabled else "")
-        + (f" [{args.shards} shards]" if args.shards > 1 else "")
-    )
-    result = run_sharded_scenario(
-        args.scheme, scenario, args.intervals, args.group_size,
-        shards=args.shards, seed=args.seed, telemetry=telemetry,
-        progress=make_progress(args.intervals, f"scenario-{args.scheme}"),
-        chaos_policy=policy if policy.enabled else None,
-        chaos_seed=args.chaos_seed,
-        scrub_mode=args.scrub_mode, backend=args.backend,
-        **resilience,
-    )
-    _print_scenario_result(args.scheme, scenario, result)
-    _write_result_out(args, _scenario_payload(args.scheme, scenario, result))
-    _export_telemetry(
-        args, telemetry, "scenario",
-        {
-            "scheme": args.scheme, "scenario": scenario.as_dict(),
-            "intervals": args.intervals, "group_size": args.group_size,
-            "shards": args.shards, "chaos": policy.as_dict(),
-        },
-        args.seed,
-        {"total": time.perf_counter() - started},
-    )
-    return _truncation_exit(result)
+    return _run_scenario(args, "scenario", args.scheme, scenario)
 
 
 def cmd_raresim(args: argparse.Namespace) -> int:
@@ -941,9 +906,10 @@ def cmd_raresim(args: argparse.Namespace) -> int:
     _export_telemetry(
         args, telemetry, "raresim",
         {
-            "level": args.level, "ber": args.ber, "trials": args.trials,
+            "level": args.level, "ber": ber, "trials": args.trials,
             "group_size": args.group_size, "num_groups": args.num_groups,
             "shards": args.shards,
+            "scenario": scenario.as_dict() if scenario else None,
         },
         args.seed,
         {"total": time.perf_counter() - started},
@@ -954,7 +920,7 @@ def cmd_raresim(args: argparse.Namespace) -> int:
 def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.analysis.tables import format_table
     from repro.core.outcomes import Outcome
-    from repro.parallel import run_sharded_campaign
+    from repro.parallel import run_sharded_campaign, run_sharded_scenario
     from repro.resilience import ChaosPolicy
 
     # Failure columns come from the taxonomy, not hand-picked strings:
@@ -980,25 +946,18 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             policy = ChaosPolicy(
                 plt_flip_rate=rate, map_swap_rate=args.map_swap_rate
             )
+            common = dict(
+                shards=args.shards, seed=args.seed, telemetry=telemetry,
+                chaos_policy=policy, chaos_seed=args.chaos_seed,
+                scrub_mode=args.scrub_mode, backend=args.backend,
+            )
             if scenario is not None:
-                from repro.parallel import run_sharded_scenario
-
                 result = run_sharded_scenario(
-                    level, scenario, args.intervals, args.group_size,
-                    shards=args.shards, seed=args.seed,
-                    telemetry=telemetry,
-                    chaos_policy=policy if policy.enabled else None,
-                    chaos_seed=args.chaos_seed,
-                    scrub_mode=args.scrub_mode, backend=args.backend,
+                    level, scenario, args.intervals, args.group_size, **common
                 )
             else:
                 result = run_sharded_campaign(
-                    level, args.ber, args.intervals, args.group_size,
-                    shards=args.shards, seed=args.seed,
-                    telemetry=telemetry,
-                    chaos_policy=policy if policy.enabled else None,
-                    chaos_seed=args.chaos_seed,
-                    scrub_mode=args.scrub_mode, backend=args.backend,
+                    level, args.ber, args.intervals, args.group_size, **common
                 )
             meta = result.metadata
             rows.append([

@@ -3,8 +3,8 @@
 A :class:`KernelBackend` supplies the per-group *bulk* operations the
 engines, injectors, and codecs would otherwise run as per-line Python
 loops: fault-vector scatter, burst mask folding, XOR parity folds,
-batched syndrome/CRC line decodes, and dirty-population reduction over
-plane-backed storage.
+batched syndrome/CRC line decodes, and the dirty-population reduction
+behind the array's dirty-set oracle.
 
 The contract every backend must honour is **bit-identity**: for the
 same inputs, every operation returns exactly what the reference
@@ -95,12 +95,6 @@ class KernelBackend:
         self, stored: Sequence[int], golden: Sequence[int]
     ) -> List[int]:
         """Sorted indices where the stored word diverges from golden."""
-        raise NotImplementedError
-
-    def dirty_from_planes(
-        self, stored: np.ndarray, golden: np.ndarray
-    ) -> List[int]:
-        """Plane-matrix variant of :meth:`dirty_lines` (same contract)."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -316,8 +316,3 @@ class NumpyBackend(KernelBackend):
             for index, (stored_word, golden_word) in enumerate(zip(stored, golden))
             if stored_word != golden_word
         ]
-
-    def dirty_from_planes(
-        self, stored: np.ndarray, golden: np.ndarray
-    ) -> List[int]:
-        return np.flatnonzero((stored != golden).any(axis=1)).tolist()

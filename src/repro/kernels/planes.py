@@ -10,8 +10,8 @@ reinterpretation, not a permutation.
 
 Conversions between the Python-int line representation (arbitrary
 precision, used by the reference backend and every public API) and the
-plane representation live here so the two backends and the plane-backed
-array storage agree on exactly one layout.
+plane representation live here so the two backends agree on exactly
+one layout.
 """
 
 from __future__ import annotations

@@ -63,12 +63,3 @@ class ReferenceBackend(KernelBackend):
             for index, (stored_word, golden_word) in enumerate(zip(stored, golden))
             if stored_word != golden_word
         ]
-
-    def dirty_from_planes(
-        self, stored: np.ndarray, golden: np.ndarray
-    ) -> List[int]:
-        return [
-            index
-            for index in range(stored.shape[0])
-            if not bool(np.array_equal(stored[index], golden[index]))
-        ]

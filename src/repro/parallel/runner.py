@@ -41,7 +41,7 @@ import os
 import random
 import signal
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from queue import Empty
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
@@ -70,7 +70,11 @@ from repro.parallel.sharding import (
     spawn_seed_sequences,
     split_units,
 )
-from repro.reliability.montecarlo import CampaignResult, run_group_campaign
+from repro.reliability.montecarlo import (
+    CampaignResult,
+    _require_scrub_mode,
+    run_group_campaign,
+)
 from repro.reliability.raresim import (
     ConditionalGroupSimulator,
     ConditionalResult,
@@ -110,7 +114,12 @@ class ShardError(RuntimeError):
 
 @dataclass(frozen=True)
 class _ShardSpec:
-    """Everything a worker needs to run one shard (must stay picklable)."""
+    """One campaign run: the whole serial run, or one shard of it.
+
+    ``shards == 1`` describes the serial run (historical RNG streams, no
+    worker); otherwise the spec is shard ``index`` of ``shards`` and is
+    shipped to a worker, so it must stay picklable.
+    """
 
     kind: str  # "montecarlo" | "raresim" | "scenario"
     index: int
@@ -162,26 +171,27 @@ class _ShardProgress:
             self._queue.put(("progress", self._index, self._pending))
             self._pending = 0
 
-    def note_resumed(self, units: int) -> None:  # pragma: no cover - unused
-        pass
 
-
-def _shard_checkpointer(
-    spec: _ShardSpec, queue
+def _checkpointer(
+    spec: _ShardSpec, note_resumed: Callable[[int], None]
 ) -> Optional[Checkpointer]:
-    """Build the shard's checkpointer; reports any restored offset.
+    """Build the run's checkpointer; reports any restored offset.
 
-    A shard whose checkpoint file is missing under ``--resume`` starts
-    fresh: that is the correct replay for a shard killed before its
-    first flush (the parent has already verified that *some* shard file
-    exists, so a wholesale wrong path still fails fast).
+    A serial resume must find its file (a wrong path fails with a
+    one-line :class:`CheckpointError`).  A shard whose checkpoint file
+    is missing under ``--resume`` starts fresh: that is the correct
+    replay for a shard killed before its first flush (the parent has
+    already verified that *some* shard file exists, so a wholesale wrong
+    path still fails fast).
     """
     if not spec.checkpoint_path:
         return None
     payload = None
-    if spec.resume_path and os.path.exists(spec.resume_path):
+    if spec.resume_path and (
+        spec.shards == 1 or os.path.exists(spec.resume_path)
+    ):
         payload = load_checkpoint(spec.resume_path, spec.kind)
-        queue.put(("resumed", spec.index, int(payload["completed"])))
+        note_resumed(int(payload["completed"]))
     return Checkpointer(
         path=spec.checkpoint_path,
         every=spec.checkpoint_every,
@@ -189,77 +199,94 @@ def _shard_checkpointer(
     )
 
 
-def _run_shard(
-    spec: _ShardSpec, queue
-) -> Tuple[object, Optional[object], Optional[List[Dict]]]:
-    """Execute one shard; returns (result, metrics or None, spans or None)."""
-    telemetry = Telemetry.create() if spec.telemetry else None
-    progress = _ShardProgress(queue, spec.index, spec.progress_batch)
-    checkpointer = _shard_checkpointer(spec, queue)
-    deadline = Deadline(spec.deadline_s) if spec.deadline_s else None
+def _run_spec(spec: _ShardSpec, telemetry, progress, checkpointer, deadline):
+    """Run the campaign ``spec`` describes, serial or as one shard.
+
+    The serial run (``spec.shards == 1``) keeps the historical streams:
+    ``default_rng(seed)`` and ``Random(seed)``, which predate the
+    SeedSequence tree.  A shard draws from its spawned child instead.
+    Scenario runs need no per-shard RNG objects: their streams derive
+    from the *global* interval index, so a shard only needs its slice.
+    """
     if spec.kind == "montecarlo":
-        rng = np.random.default_rng(
-            spawn_seed_sequences(spec.seed, spec.shards)[spec.index]
-        )
-        chaos = (
-            ChaosInjector(
-                spec.chaos_policy,
-                seed=shard_python_seeds(spec.chaos_seed, spec.shards)[spec.index],
+        if spec.shards == 1:
+            # The serial path must stay bit-identical to the historical
+            # CLI stream, which predates the SeedSequence tree.
+            rng = np.random.default_rng(spec.seed)  # repro-lint: disable=RPR006
+            chaos_seed = spec.chaos_seed
+        else:
+            rng = np.random.default_rng(
+                spawn_seed_sequences(spec.seed, spec.shards)[spec.index]
             )
+            chaos_seed = shard_python_seeds(
+                spec.chaos_seed, spec.shards
+            )[spec.index]
+        chaos = (
+            ChaosInjector(spec.chaos_policy, seed=chaos_seed)
             if spec.chaos_policy is not None
             else None
         )
-        result = run_group_campaign(
+        return run_group_campaign(
             spec.level, spec.ber, trials=spec.units,
             group_size=spec.group_size, interval_s=spec.interval_s,
             rng=rng, telemetry=telemetry, progress=progress,
             chaos=chaos, checkpointer=checkpointer, deadline=deadline,
             scrub_mode=spec.scrub_mode, backend=spec.backend,
         )
-    elif spec.kind == "raresim":
+    if spec.kind == "raresim":
+        if spec.shards == 1:
+            # resolve_pyrandom(seed=s) is exactly random.Random(s).
+            rng = resolve_pyrandom(seed=spec.seed, owner="run_sharded_raresim")
+        else:
+            rng = random.Random(
+                shard_python_seeds(spec.seed, spec.shards)[spec.index]
+            )
         simulator = ConditionalGroupSimulator(
             ber=spec.ber, group_size=spec.group_size,
             num_groups=spec.num_groups, interval_s=spec.interval_s,
-            rng=random.Random(
-                shard_python_seeds(spec.seed, spec.shards)[spec.index]
-            ),
-            sparse=spec.scrub_mode == "sparse",
-            scenario=spec.scenario,
-            backend=spec.backend,
+            rng=rng, sparse=spec.scrub_mode == "sparse",
+            scenario=spec.scenario, backend=spec.backend,
         )
-        result = simulator.run(
+        return simulator.run(
             spec.level, spec.units, telemetry=telemetry, progress=progress,
             checkpointer=checkpointer, deadline=deadline,
         )
-    elif spec.kind == "scenario":
-        from repro.reliability.scenario import run_scenario_campaign
+    from repro.reliability.scenario import run_scenario_campaign
 
-        # No per-shard RNG objects: scenario streams derive from the
-        # *global* interval index, so the shard only needs its slice.
-        assert spec.scenario is not None
-        result = run_scenario_campaign(
-            spec.level, spec.scenario, spec.units,
-            group_size=spec.group_size, interval_s=spec.interval_s,
-            seed=spec.seed, interval_start=spec.interval_start,
-            telemetry=telemetry, progress=progress,
-            chaos_policy=spec.chaos_policy, chaos_seed=spec.chaos_seed,
-            checkpointer=checkpointer, deadline=deadline,
-            scrub_mode=spec.scrub_mode, backend=spec.backend,
-        )
-    else:  # pragma: no cover - specs are built by this module only
-        raise ValueError(f"unknown shard kind {spec.kind!r}")
-    if telemetry is None:
-        return result, None, None
-    # Spans ship as plain dicts (the export_spans wire form): Span
-    # objects hold a tracer reference and must not cross the pickle
-    # boundary.
-    return result, telemetry.metrics, export_spans(telemetry.tracer)
+    assert spec.scenario is not None
+    return run_scenario_campaign(
+        spec.level, spec.scenario, spec.units,
+        group_size=spec.group_size, interval_s=spec.interval_s,
+        seed=spec.seed, interval_start=spec.interval_start,
+        telemetry=telemetry, progress=progress,
+        chaos_policy=spec.chaos_policy, chaos_seed=spec.chaos_seed,
+        checkpointer=checkpointer, deadline=deadline,
+        scrub_mode=spec.scrub_mode, backend=spec.backend,
+    )
 
 
 def _shard_worker(spec: _ShardSpec, queue) -> None:
-    """Process entry point: run the shard, ship the outcome back."""
+    """Process entry point: run the shard, ship the outcome back.
+
+    The result carries the shard's metrics registry and its spans (or
+    ``None`` for both without telemetry).  Spans ship as plain dicts
+    (the export_spans wire form): Span objects hold a tracer reference
+    and must not cross the pickle boundary.
+    """
     try:
-        result, metrics, spans = _run_shard(spec, queue)
+        telemetry = Telemetry.create() if spec.telemetry else None
+        result = _run_spec(
+            spec, telemetry,
+            _ShardProgress(queue, spec.index, spec.progress_batch),
+            _checkpointer(
+                spec, lambda units: queue.put(("resumed", spec.index, units))
+            ),
+            Deadline(spec.deadline_s) if spec.deadline_s else None,
+        )
+        metrics = spans = None
+        if telemetry is not None:
+            metrics = telemetry.metrics
+            spans = export_spans(telemetry.tracer)
         queue.put(("result", spec.index, result, metrics, spans))
     except BaseException:
         queue.put(("error", spec.index, traceback.format_exc()))
@@ -369,63 +396,84 @@ def _execute_shards(specs: List[_ShardSpec], telemetry, progress,
     return [outcomes[index][0] for index in sorted(outcomes)]
 
 
-def _serial_checkpointer(
-    kind: str, checkpoint_path: str, checkpoint_every: int, resume_from: str,
-    progress,
-) -> Optional[Checkpointer]:
-    """The single-shard checkpointer (same layout as the pre-sharding CLI)."""
-    if not checkpoint_path:
-        return None
-    payload = None
-    if resume_from:
-        payload = load_checkpoint(resume_from, kind)
-        progress.note_resumed(int(payload["completed"]))
-    return Checkpointer(
-        path=checkpoint_path, every=checkpoint_every, resume=payload
-    )
-
-
-def _validate(shards: int, units: int, checkpoint_path: str,
-              checkpoint_every: int, scrub_mode: str = "sparse",
-              backend: str = "reference") -> None:
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    if units < 0:
-        raise ValueError(f"work units must be non-negative, got {units}")
-    if checkpoint_every and not checkpoint_path:
+def _validate(run: _ShardSpec) -> None:
+    if run.shards < 1:
+        raise ValueError(f"shards must be >= 1, got {run.shards}")
+    if run.units < 0:
+        raise ValueError(f"work units must be non-negative, got {run.units}")
+    if run.checkpoint_every and not run.checkpoint_path:
         raise CheckpointError(
             "periodic checkpointing requires a checkpoint path"
         )
-    if scrub_mode not in ("sparse", "dense"):
-        # Fail fast in the parent: a bad mode inside a worker would only
-        # surface as a ShardError traceback.
+    # Fail fast in the parent: a bad mode inside a worker would only
+    # surface as a ShardError traceback.
+    _require_scrub_mode(run.scrub_mode)
+    if run.backend not in BACKEND_NAMES:
         raise ValueError(
-            f"scrub_mode must be 'sparse' or 'dense', got {scrub_mode!r}"
-        )
-    if backend not in BACKEND_NAMES:
-        raise ValueError(
-            f"backend must be one of {BACKEND_NAMES}, got {backend!r}"
+            f"backend must be one of {BACKEND_NAMES}, got {run.backend!r}"
         )
 
 
-def _progress_batch(units: int) -> int:
-    """Batch size keeping each shard to ~50 progress messages."""
-    return max(1, units // 50)
-
-
-def _serial_watch(
-    deadline_s: Optional[float], cancel: Optional[Callable[[], bool]]
+def _run_sharded(
+    run: _ShardSpec,
+    span: str,
+    span_attrs: Dict[str, object],
+    telemetry: Optional[Telemetry],
+    progress,
+    cancel: Optional[Callable[[], bool]],
 ):
-    """The watchdog a serial (shards=1) campaign loop polls.
+    """The shared body of the three ``run_sharded_*`` executors.
 
-    A plain :class:`Deadline` when only a budget is set; a
-    :class:`CancelWatch` (composing any budget) when a job-level
-    cancellation callback is attached; ``None`` when neither is.
+    ``run`` describes the whole campaign (``index=0``, every unit, the
+    caller's checkpoint/resume paths).  With one shard it runs
+    in-process on the caller's telemetry and progress; otherwise it is
+    split into per-shard specs (contiguous unit slices, per-shard
+    checkpoint files), executed across worker processes under the
+    ``span`` tracer span, and the shard results are merged in shard
+    order.
     """
-    deadline = Deadline(deadline_s) if deadline_s else None
-    if cancel is None:
-        return deadline
-    return CancelWatch(cancel, deadline=deadline)
+    if run.resume_path and not run.checkpoint_path:
+        run = replace(run, checkpoint_path=run.resume_path)
+    _validate(run)
+    if run.chaos_policy is not None and not run.chaos_policy.enabled:
+        run = replace(run, chaos_policy=None)
+    if run.shards == 1:
+        # The serial loop polls one watchdog: the deadline, composed into
+        # a CancelWatch when a job-level cancellation hook is attached.
+        deadline = Deadline(run.deadline_s) if run.deadline_s else None
+        if cancel is not None:
+            deadline = CancelWatch(cancel, deadline=deadline)
+        return _run_spec(
+            run, telemetry, progress,
+            _checkpointer(run, lambda units: progress.note_resumed(units)),
+            deadline,
+        )
+    units = split_units(run.units, run.shards)
+    specs = [
+        replace(
+            run, index=index, units=units[index],
+            interval_start=sum(units[:index]),
+            checkpoint_path=(
+                shard_checkpoint_path(run.checkpoint_path, index, run.shards)
+                if run.checkpoint_path else ""
+            ),
+            resume_path=(
+                shard_checkpoint_path(run.resume_path, index, run.shards)
+                if run.resume_path else ""
+            ),
+            telemetry=telemetry is not None,
+            # Keeps each shard to ~50 progress messages.
+            progress_batch=max(1, run.units // 50),
+        )
+        for index in range(run.shards)
+    ]
+    tel = resolve_telemetry(telemetry)
+    with tel.tracer.span(span, **span_attrs, shards=run.shards):
+        results = _execute_shards(specs, telemetry, progress, cancel=cancel)
+    progress.finish()
+    if run.kind == "raresim":
+        return merge_conditional_results(results)
+    return merge_campaign_results(results)
 
 
 def run_sharded_campaign(
@@ -467,61 +515,19 @@ def run_sharded_campaign(
     (``stop_reason="cancelled"`` serially; sharded workers are SIGINTed
     and report ``"interrupted"``).
     """
-    if resume_from and not checkpoint_path:
-        checkpoint_path = resume_from
-    _validate(shards, intervals, checkpoint_path, checkpoint_every,
-              scrub_mode, backend)
-    if chaos_policy is not None and not chaos_policy.enabled:
-        chaos_policy = None
-    if shards == 1:
-        checkpointer = _serial_checkpointer(
-            "montecarlo", checkpoint_path, checkpoint_every, resume_from,
-            progress,
-        )
-        chaos = (
-            ChaosInjector(chaos_policy, seed=chaos_seed)
-            if chaos_policy is not None else None
-        )
-        return run_group_campaign(
-            level, ber, trials=intervals, group_size=group_size,
-            # The serial path must stay bit-identical to the historical
-            # CLI stream, which predates the SeedSequence tree.
-            interval_s=interval_s, rng=np.random.default_rng(seed),  # repro-lint: disable=RPR006
-            telemetry=telemetry, progress=progress, chaos=chaos,
-            checkpointer=checkpointer,
-            deadline=_serial_watch(deadline_s, cancel),
-            scrub_mode=scrub_mode, backend=backend,
-        )
-    units = split_units(intervals, shards)
-    batch = _progress_batch(intervals)
-    specs = [
-        _ShardSpec(
-            kind="montecarlo", index=index, shards=shards, units=units[index],
-            seed=seed, level=level, ber=ber, group_size=group_size,
-            interval_s=interval_s, chaos_policy=chaos_policy,
-            chaos_seed=chaos_seed,
-            checkpoint_path=(
-                shard_checkpoint_path(checkpoint_path, index, shards)
-                if checkpoint_path else ""
-            ),
-            checkpoint_every=checkpoint_every,
-            resume_path=(
-                shard_checkpoint_path(resume_from, index, shards)
-                if resume_from else ""
-            ),
-            telemetry=telemetry is not None, deadline_s=deadline_s,
-            progress_batch=batch, scrub_mode=scrub_mode, backend=backend,
-        )
-        for index in range(shards)
-    ]
-    tel = resolve_telemetry(telemetry)
-    with tel.tracer.span(
-        "sharded_campaign", level=level, ber=ber, intervals=intervals,
-        shards=shards,
-    ):
-        results = _execute_shards(specs, telemetry, progress, cancel=cancel)
-    progress.finish()
-    return merge_campaign_results(results)
+    run = _ShardSpec(
+        kind="montecarlo", index=0, shards=shards, units=intervals,
+        seed=seed, level=level, ber=ber, group_size=group_size,
+        interval_s=interval_s, chaos_policy=chaos_policy,
+        chaos_seed=chaos_seed, checkpoint_path=checkpoint_path,
+        checkpoint_every=checkpoint_every, resume_path=resume_from,
+        deadline_s=deadline_s, scrub_mode=scrub_mode, backend=backend,
+    )
+    return _run_sharded(
+        run, "sharded_campaign",
+        {"level": level, "ber": ber, "intervals": intervals},
+        telemetry, progress, cancel,
+    )
 
 
 def run_sharded_raresim(
@@ -559,59 +565,19 @@ def run_sharded_raresim(
     bit-identical across backends.  ``cancel`` behaves as in
     :func:`run_sharded_campaign`.
     """
-    if resume_from and not checkpoint_path:
-        checkpoint_path = resume_from
-    _validate(shards, trials, checkpoint_path, checkpoint_every,
-              scrub_mode, backend)
-    if shards == 1:
-        checkpointer = _serial_checkpointer(
-            "raresim", checkpoint_path, checkpoint_every, resume_from,
-            progress,
-        )
-        simulator = ConditionalGroupSimulator(
-            ber=ber, group_size=group_size, num_groups=num_groups,
-            # Serial path: bit-identical to the historical stdlib stream
-            # (resolve_pyrandom(seed=s) is exactly random.Random(s)).
-            interval_s=interval_s,
-            rng=resolve_pyrandom(seed=seed, owner="run_sharded_raresim"),
-            sparse=scrub_mode == "sparse",
-            scenario=scenario,
-            backend=backend,
-        )
-        return simulator.run(
-            level, trials, telemetry=telemetry, progress=progress,
-            checkpointer=checkpointer,
-            deadline=_serial_watch(deadline_s, cancel),
-        )
-    units = split_units(trials, shards)
-    batch = _progress_batch(trials)
-    specs = [
-        _ShardSpec(
-            kind="raresim", index=index, shards=shards, units=units[index],
-            seed=seed, level=level, ber=ber, group_size=group_size,
-            interval_s=interval_s, num_groups=num_groups,
-            checkpoint_path=(
-                shard_checkpoint_path(checkpoint_path, index, shards)
-                if checkpoint_path else ""
-            ),
-            checkpoint_every=checkpoint_every,
-            resume_path=(
-                shard_checkpoint_path(resume_from, index, shards)
-                if resume_from else ""
-            ),
-            telemetry=telemetry is not None, deadline_s=deadline_s,
-            progress_batch=batch, scrub_mode=scrub_mode,
-            scenario=scenario, backend=backend,
-        )
-        for index in range(shards)
-    ]
-    tel = resolve_telemetry(telemetry)
-    with tel.tracer.span(
-        "sharded_raresim", level=level, ber=ber, trials=trials, shards=shards,
-    ):
-        results = _execute_shards(specs, telemetry, progress, cancel=cancel)
-    progress.finish()
-    return merge_conditional_results(results)
+    run = _ShardSpec(
+        kind="raresim", index=0, shards=shards, units=trials, seed=seed,
+        level=level, ber=ber, group_size=group_size, interval_s=interval_s,
+        num_groups=num_groups, checkpoint_path=checkpoint_path,
+        checkpoint_every=checkpoint_every, resume_path=resume_from,
+        deadline_s=deadline_s, scrub_mode=scrub_mode, scenario=scenario,
+        backend=backend,
+    )
+    return _run_sharded(
+        run, "sharded_raresim",
+        {"level": level, "ber": ber, "trials": trials},
+        telemetry, progress, cancel,
+    )
 
 
 def run_sharded_scenario(
@@ -648,56 +614,16 @@ def run_sharded_scenario(
     *different* quantity than serial), and the one the acceptance tests
     pin.  ``shards=1`` runs in-process with no worker machinery.
     """
-    from repro.reliability.scenario import run_scenario_campaign
-
-    if resume_from and not checkpoint_path:
-        checkpoint_path = resume_from
-    _validate(shards, intervals, checkpoint_path, checkpoint_every,
-              scrub_mode, backend)
-    if chaos_policy is not None and not chaos_policy.enabled:
-        chaos_policy = None
-    if shards == 1:
-        checkpointer = _serial_checkpointer(
-            "scenario", checkpoint_path, checkpoint_every, resume_from,
-            progress,
-        )
-        return run_scenario_campaign(
-            scheme, scenario, intervals, group_size=group_size,
-            interval_s=interval_s, seed=seed, telemetry=telemetry,
-            progress=progress, chaos_policy=chaos_policy,
-            chaos_seed=chaos_seed, checkpointer=checkpointer,
-            deadline=_serial_watch(deadline_s, cancel),
-            scrub_mode=scrub_mode, backend=backend,
-        )
-    units = split_units(intervals, shards)
-    starts = [sum(units[:index]) for index in range(shards)]
-    batch = _progress_batch(intervals)
-    specs = [
-        _ShardSpec(
-            kind="scenario", index=index, shards=shards, units=units[index],
-            seed=seed, level=scheme, ber=scenario.transient_ber,
-            group_size=group_size, interval_s=interval_s,
-            chaos_policy=chaos_policy, chaos_seed=chaos_seed,
-            checkpoint_path=(
-                shard_checkpoint_path(checkpoint_path, index, shards)
-                if checkpoint_path else ""
-            ),
-            checkpoint_every=checkpoint_every,
-            resume_path=(
-                shard_checkpoint_path(resume_from, index, shards)
-                if resume_from else ""
-            ),
-            telemetry=telemetry is not None, deadline_s=deadline_s,
-            progress_batch=batch, scrub_mode=scrub_mode,
-            scenario=scenario, interval_start=starts[index],
-            backend=backend,
-        )
-        for index in range(shards)
-    ]
-    tel = resolve_telemetry(telemetry)
-    with tel.tracer.span(
-        "sharded_scenario", scheme=scheme, intervals=intervals, shards=shards,
-    ):
-        results = _execute_shards(specs, telemetry, progress, cancel=cancel)
-    progress.finish()
-    return merge_campaign_results(results)
+    run = _ShardSpec(
+        kind="scenario", index=0, shards=shards, units=intervals, seed=seed,
+        level=scheme, ber=scenario.transient_ber, group_size=group_size,
+        interval_s=interval_s, chaos_policy=chaos_policy,
+        chaos_seed=chaos_seed, checkpoint_path=checkpoint_path,
+        checkpoint_every=checkpoint_every, resume_path=resume_from,
+        deadline_s=deadline_s, scrub_mode=scrub_mode, scenario=scenario,
+        backend=backend,
+    )
+    return _run_sharded(
+        run, "sharded_scenario", {"scheme": scheme, "intervals": intervals},
+        telemetry, progress, cancel,
+    )

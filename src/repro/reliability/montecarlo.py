@@ -24,6 +24,11 @@ Chaos campaigns (:mod:`repro.resilience.chaos`) additionally corrupt
 the correction metadata each interval and perturb the scrub schedule;
 the boundary invariant is preserved by healing the array and running the
 engine's metadata scrub (``audit_metadata``) at every interval end.
+
+This module also hosts the one interval loop, :func:`_run_intervals`,
+that mixed fault-scenario campaigns (:mod:`repro.reliability.scenario`)
+share: the two kinds differ only in a small fault-source object that
+owns their RNG layout, fault injection, and checkpoint ``kind``.
 """
 
 from __future__ import annotations
@@ -188,6 +193,299 @@ def _dense_walk(num_lines: int, dirty, visits) -> list:
     return walk
 
 
+@dataclass
+class _MonteCarloSource:
+    """Fault source of a Monte-Carlo campaign: one sequential stream.
+
+    Every random draw -- the content fill seed, then each interval's
+    transient flips -- comes from a single numpy generator, and an
+    optional chaos injector runs on its own stream across all
+    intervals.  Both stream *states* are checkpointed at each boundary;
+    the fill seed rides in the aggregates so a resume can re-derive the
+    content without consuming the generator.
+    """
+
+    engine: SuDokuEngine
+    generator: np.random.Generator
+    injector: TransientFaultInjector
+    chaos: Optional[ChaosInjector]
+    randomize_content: bool
+    fill_seed: Optional[int] = None
+
+    kind = "montecarlo"
+    #: Chaos intervals leave parity repair to the metadata audit, whose
+    #: residual counts are part of the result.
+    recanonicalize_on_chaos = False
+
+    def begin(self, resume: Optional[Dict[str, object]]) -> None:
+        """Fill the content, then align both streams with the first interval."""
+        if resume is not None:
+            raw_fill_seed = resume["aggregates"].get("fill_seed")
+            self.fill_seed = (
+                int(raw_fill_seed) if raw_fill_seed is not None else None
+            )
+            if self.randomize_content and self.fill_seed is None:
+                raise CheckpointError(
+                    "checkpoint is missing the content fill seed; cannot "
+                    "re-derive the campaign's array content"
+                )
+        elif self.randomize_content:
+            self.fill_seed = int(self.generator.integers(0, 2 ** 63))
+        if self.randomize_content:
+            _fill_random_through_engine(self.engine, self.fill_seed)
+        if resume is not None:
+            # RNG states are captured at interval boundaries, so restoring
+            # them *after* the deterministic re-fill replays the exact
+            # random sequence the uninterrupted run would have seen.
+            restore_numpy_rng_state(self.generator, resume["rng"]["numpy"])
+            if self.chaos is not None and "chaos" in resume["rng"]:
+                self.chaos.restore_rng_state(resume["rng"]["chaos"])
+
+    def interval(self, index: int) -> Optional[ChaosInjector]:
+        """The chaos injector for interval ``index`` (one for the run)."""
+        return self.chaos
+
+    def inject(self, array: STTRAMArray) -> None:
+        """Inject one interval's transients."""
+        self.injector.inject_frames(array)
+
+    def aggregates(self) -> Dict[str, object]:
+        return {"fill_seed": self.fill_seed}
+
+    def rng_block(self) -> Dict[str, object]:
+        block: Dict[str, object] = {"numpy": numpy_rng_state(self.generator)}
+        if self.chaos is not None:
+            block["chaos"] = self.chaos.rng_state()
+        return block
+
+
+def _run_intervals(
+    engine,
+    source,
+    result: CampaignResult,
+    config: Dict[str, object],
+    level: str,
+    *,
+    telemetry: Optional[Telemetry],
+    progress,
+    checkpointer: Optional[Checkpointer],
+    deadline: Optional[Deadline],
+    scrub_mode: str,
+) -> CampaignResult:
+    """The inject-scrub-heal loop behind every campaign kind.
+
+    ``source`` owns what differs between kinds: how the random streams
+    are laid out and restored (``begin``, ``interval``, ``rng_block``),
+    which faults land each interval (``inject``), whether a chaos
+    interval re-canonicalizes parities (``recanonicalize_on_chaos``),
+    and the checkpoint ``kind`` plus any extra aggregates.  Everything
+    else -- chaos, the
+    sparse/dense scrub dispatch, heal and parity re-canonicalization,
+    the metadata audit, the ``campaign_*`` metrics, checkpoint writes,
+    the deadline, ``KeyboardInterrupt`` rollback and the final engine
+    stats -- happens here, once.  ``config`` is the checkpoint
+    fingerprint; a resume payload on ``checkpointer`` must match it.
+    """
+    tel = resolve_telemetry(telemetry)
+    if telemetry is not None:
+        attach = getattr(engine, "attach_telemetry", None)
+        if attach is not None:
+            attach(telemetry)
+    metrics = tel.metrics
+    m_interval = metrics.histogram(
+        "campaign_interval_seconds",
+        "Wall-clock time per campaign interval (inject + scrub + heal).",
+        buckets=INTERVAL_BUCKETS,
+    )
+    m_intervals = metrics.counter(
+        "campaign_intervals_total", "Campaign intervals completed."
+    )
+    m_failures = metrics.counter(
+        "campaign_interval_failures_total",
+        "Intervals with at least one DUE or SDC.",
+    )
+    m_outcomes = metrics.counter(
+        "campaign_outcomes_total",
+        "Line outcomes accumulated across campaign intervals.",
+        labels=("outcome",),
+    )
+    m_faulty = metrics.histogram(
+        "campaign_faulty_lines_per_interval",
+        "Dirty lines after injection (hit or stuck-at), per interval.",
+        buckets=(0, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 10000),
+    )
+    m_chaos = metrics.counter(
+        "chaos_events_total",
+        "Metadata chaos events applied to the engine.",
+        labels=("event",),
+    )
+    m_checkpoints = metrics.counter(
+        "campaign_checkpoint_writes_total", "Campaign checkpoints flushed."
+    )
+
+    def note_chaos(applied: Counter) -> None:
+        result.metadata.update(applied)
+        if tel.enabled:
+            for event, count in applied.items():
+                m_chaos.labels(event=event).inc(count)
+
+    array = engine.array
+    intervals = result.intervals
+    resume = checkpointer.resume if checkpointer is not None else None
+    start = 0
+    if resume is not None:
+        require_config_match(resume, config)
+        start = int(resume["completed"])
+        aggregates = resume["aggregates"]
+        result.outcomes.update(aggregates.get("outcomes", {}))
+        result.interval_failures = int(aggregates.get("interval_failures", 0))
+        result.metadata.update(aggregates.get("metadata", {}))
+    source.begin(resume)
+
+    def boundary_snapshot(completed: int) -> Dict[str, object]:
+        aggregates = {
+            "outcomes": dict(result.outcomes),
+            "interval_failures": result.interval_failures,
+            "metadata": dict(result.metadata),
+            **source.aggregates(),
+        }
+        return build_payload(
+            source.kind, config, completed, aggregates, source.rng_block()
+        )
+
+    def flush_checkpoint(snapshot: Dict[str, object]) -> None:
+        with tel.tracer.span("checkpoint_write", path=checkpointer.path):
+            checkpointer.save(snapshot)
+        if tel.enabled:
+            m_checkpoints.inc()
+
+    completed = start
+    snapshot = boundary_snapshot(start)
+    # Per-phase spans are attribute-free: a live tracer pays two clock
+    # reads per span, the NullTracer pays one no-op call, and either way
+    # the RNG stream is untouched.
+    tracer = tel.tracer
+    with tracer.span(
+        "campaign", level=level, ber=result.ber, intervals=intervals,
+        lines=array.num_lines,
+    ):
+        try:
+            for index in range(start, intervals):
+                started = time.perf_counter() if tel.enabled else 0.0
+                chaos = source.interval(index)
+                with tracer.span("phase_inject"):
+                    if chaos is not None and hasattr(engine, "_tables"):
+                        # Metadata chaos needs a parity-table surface;
+                        # schemes without one (plain per-line ECC) still
+                        # see the schedule chaos below.
+                        note_chaos(chaos.corrupt_metadata(engine))
+                    source.inject(array)
+                    # Every interval starts healed, so the dirty set is
+                    # exactly this interval's hits plus any stuck-at
+                    # lines, which are permanently dirty: the sparse pass
+                    # must keep visiting them to stay bit-identical to
+                    # dense.
+                    dirty = array.dirty_frames()
+                    visits = dirty
+                    if chaos is not None:
+                        visits, applied = chaos.perturb_visits(visits)
+                        note_chaos(applied)
+                with tracer.span("phase_scrub"):
+                    if scrub_mode == "dense":
+                        counts = engine.scrub_frames(
+                            _dense_walk(array.num_lines, dirty, visits)
+                        )
+                    else:
+                        # Sparse fast path: decode the scheduled dirty
+                        # visits only; every frame outside the
+                        # (pre-perturbation) dirty set is a valid codeword
+                        # and bulk-accounts as clean -- exactly the
+                        # outcomes a dense walk records for those lines.
+                        sparse_counts = Counter(engine.scrub_frames(visits))
+                        bulk_clean = array.num_lines - len(dirty)
+                        account = getattr(engine, "account_bulk_clean", None)
+                        if account is not None:
+                            account(bulk_clean)
+                        sparse_counts[Outcome.CLEAN.value] += bulk_clean
+                        counts = dict(sparse_counts)
+                result.outcomes.update(counts)
+                failed = any(
+                    count and is_failure_label(label)
+                    for label, count in counts.items()
+                )
+                with tracer.span("phase_correct"):
+                    if failed:
+                        result.interval_failures += 1
+                    # Heal to the boundary state (stored == golden, through
+                    # any stuck bits): dropped visits and uncorrected lines
+                    # must not leak across the interval boundary, the
+                    # independence invariant campaigns and checkpoints
+                    # both rely on.  After a clean interval the dirty set
+                    # holds at most stuck lines, so this is O(dirty).
+                    heal(array)
+                    if failed or (
+                        chaos is not None and source.recanonicalize_on_chaos
+                    ):
+                        # A DUE may have triggered a parity rebuild over
+                        # still-corrupt words (write-path poisoning
+                        # semantics); healing invalidates those entries,
+                        # so restore the ground-truth parities too.
+                        initialize = getattr(
+                            engine, "initialize_parities", None
+                        )
+                        if initialize is not None:
+                            initialize()
+                    if chaos is not None:
+                        # Undetected metadata corruption is caught by the
+                        # engine's metadata scrub.
+                        audit = getattr(engine, "audit_metadata", None)
+                        if audit is not None:
+                            audit_report = audit(repair=True)
+                            for key in (
+                                "crc_faults", "recompute_faults", "rebuilt",
+                            ):
+                                if audit_report.get(key):
+                                    result.metadata["residual_" + key] += (
+                                        audit_report[key]
+                                    )
+                completed += 1
+                if tel.enabled:
+                    m_intervals.inc()
+                    if failed:
+                        m_failures.inc()
+                    m_faulty.observe(len(dirty))
+                    for label, count in counts.items():
+                        m_outcomes.labels(outcome=label).inc(count)
+                    m_interval.observe(time.perf_counter() - started)
+                snapshot = boundary_snapshot(completed)
+                if checkpointer is not None and checkpointer.due(completed):
+                    flush_checkpoint(snapshot)
+                if deadline is not None and deadline.expired():
+                    result.truncated = True
+                    result.stop_reason = deadline.reason
+                    break
+                progress.update()
+        except KeyboardInterrupt:
+            # Completed intervals are not discarded: roll back to the
+            # last interval boundary and return the partial aggregates.
+            result.truncated = True
+            result.stop_reason = "interrupted"
+            completed = int(snapshot["completed"])
+            aggregates = snapshot["aggregates"]
+            result.outcomes = Counter(aggregates["outcomes"])
+            result.interval_failures = int(aggregates["interval_failures"])
+            result.metadata = Counter(aggregates["metadata"])
+    if checkpointer is not None:
+        flush_checkpoint(snapshot)
+    result.intervals = completed
+    progress.finish()
+    if telemetry is not None:
+        stats = getattr(engine, "stats", None)
+        if stats is not None:
+            stats.publish_to(metrics, level=level)
+    return result
+
+
 def run_engine_campaign(
     engine: SuDokuEngine,
     ber: float,
@@ -260,46 +558,9 @@ def run_engine_campaign(
         if setter is not None:
             setter(backend)
     generator = resolve_rng(rng, seed, owner="run_engine_campaign")
-    tel = resolve_telemetry(telemetry)
-    if telemetry is not None:
-        attach = getattr(engine, "attach_telemetry", None)
-        if attach is not None:
-            attach(telemetry)
-    metrics = tel.metrics
-    m_interval = metrics.histogram(
-        "campaign_interval_seconds",
-        "Wall-clock time per campaign interval (inject + scrub + heal).",
-        buckets=INTERVAL_BUCKETS,
-    )
-    m_intervals = metrics.counter(
-        "campaign_intervals_total", "Campaign intervals completed."
-    )
-    m_failures = metrics.counter(
-        "campaign_interval_failures_total",
-        "Intervals with at least one DUE or SDC.",
-    )
-    m_outcomes = metrics.counter(
-        "campaign_outcomes_total",
-        "Line outcomes accumulated across campaign intervals.",
-        labels=("outcome",),
-    )
-    m_faulty = metrics.histogram(
-        "campaign_faulty_lines_per_interval",
-        "Lines hit by at least one injected fault, per interval.",
-        buckets=(0, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 10000),
-    )
-    m_chaos = metrics.counter(
-        "chaos_events_total",
-        "Metadata chaos events applied to the engine.",
-        labels=("event",),
-    )
-    m_checkpoints = metrics.counter(
-        "campaign_checkpoint_writes_total", "Campaign checkpoints flushed."
-    )
-
     array = engine.array
     level = getattr(engine, "level", "?")
-    config_fingerprint: Dict[str, object] = {
+    config: Dict[str, object] = {
         "kind": "montecarlo",
         "level": str(level),
         "ber": ber,
@@ -311,185 +572,21 @@ def run_engine_campaign(
         "randomize_content": bool(randomize_content),
         "chaos": chaos.policy.as_dict() if chaos is not None else None,
     }
-    resume = checkpointer.resume if checkpointer is not None else None
-    start = 0
     result = CampaignResult(
         intervals=intervals, ber=ber, interval_s=interval_s, lines=array.num_lines
     )
-    fill_seed: Optional[int] = None
-    if resume is not None:
-        require_config_match(resume, config_fingerprint)
-        start = int(resume["completed"])
-        aggregates = resume["aggregates"]
-        result.outcomes.update(aggregates.get("outcomes", {}))
-        result.interval_failures = int(aggregates.get("interval_failures", 0))
-        result.metadata.update(aggregates.get("metadata", {}))
-        raw_fill_seed = aggregates.get("fill_seed")
-        fill_seed = int(raw_fill_seed) if raw_fill_seed is not None else None
-        if randomize_content and fill_seed is None:
-            raise CheckpointError(
-                "checkpoint is missing the content fill seed; cannot "
-                "re-derive the campaign's array content"
-            )
-    elif randomize_content:
-        fill_seed = int(generator.integers(0, 2 ** 63))
-    if randomize_content:
-        _fill_random_through_engine(engine, fill_seed)
-    if resume is not None:
-        # RNG states are captured at interval boundaries, so restoring
-        # them *after* the deterministic re-fill replays the exact
-        # random sequence the uninterrupted run would have seen.
-        restore_numpy_rng_state(generator, resume["rng"]["numpy"])
-        if chaos is not None and "chaos" in resume["rng"]:
-            chaos.restore_rng_state(resume["rng"]["chaos"])
     injector = TransientFaultInjector(
         array.line_bits, ber, generator,
         backend=getattr(engine, "backend", None),
     )
-
-    def boundary_snapshot(completed: int) -> Dict[str, object]:
-        aggregates = {
-            "outcomes": dict(result.outcomes),
-            "interval_failures": result.interval_failures,
-            "metadata": dict(result.metadata),
-            "fill_seed": fill_seed,
-        }
-        rng_block: Dict[str, object] = {"numpy": numpy_rng_state(generator)}
-        if chaos is not None:
-            rng_block["chaos"] = chaos.rng_state()
-        return build_payload(
-            "montecarlo", config_fingerprint, completed, aggregates, rng_block
-        )
-
-    def flush_checkpoint(snapshot: Dict[str, object]) -> None:
-        with tel.tracer.span("checkpoint_write", path=checkpointer.path):
-            checkpointer.save(snapshot)
-        if tel.enabled:
-            m_checkpoints.inc()
-
-    completed = start
-    snapshot = boundary_snapshot(start)
-    # Per-phase spans are attribute-free: a live tracer pays two clock
-    # reads per span, the NullTracer pays one no-op call, and either way
-    # the RNG stream is untouched.
-    tracer = tel.tracer
-    with tracer.span(
-        "campaign", level=level, ber=ber, intervals=intervals,
-        lines=array.num_lines,
-    ):
-        try:
-            for _ in range(start, intervals):
-                started = time.perf_counter() if tel.enabled else 0.0
-                with tracer.span("phase_inject"):
-                    if chaos is not None:
-                        applied = chaos.corrupt_metadata(engine)
-                        result.metadata.update(applied)
-                        if tel.enabled:
-                            for event, count in applied.items():
-                                m_chaos.labels(event=event).inc(count)
-                    dirty = injector.inject_frames(array)
-                    if array.has_permanent_faults:
-                        # Stuck-conflicting lines are permanently dirty
-                        # even when no transient landed on them this
-                        # interval; the sparse pass must keep visiting
-                        # them to stay bit-identical to dense.
-                        dirty = array.dirty_frames()
-                    visits = dirty
-                    if chaos is not None:
-                        visits, applied = chaos.perturb_visits(visits)
-                        result.metadata.update(applied)
-                        if tel.enabled:
-                            for event, count in applied.items():
-                                m_chaos.labels(event=event).inc(count)
-                with tracer.span("phase_scrub"):
-                    if scrub_mode == "dense":
-                        counts = engine.scrub_frames(
-                            _dense_walk(array.num_lines, dirty, visits)
-                        )
-                    else:
-                        # Sparse fast path: decode the scheduled dirty
-                        # visits only; every frame outside the
-                        # (pre-perturbation) dirty set is a valid codeword
-                        # and bulk-accounts as clean -- exactly the
-                        # outcomes a dense walk records for those lines.
-                        sparse_counts = Counter(engine.scrub_frames(visits))
-                        bulk_clean = array.num_lines - len(dirty)
-                        account = getattr(engine, "account_bulk_clean", None)
-                        if account is not None:
-                            account(bulk_clean)
-                        sparse_counts[Outcome.CLEAN.value] += bulk_clean
-                        counts = dict(sparse_counts)
-                result.outcomes.update(counts)
-                failed = any(
-                    count and is_failure_label(label)
-                    for label, count in counts.items()
-                )
-                with tracer.span("phase_correct"):
-                    if failed:
-                        result.interval_failures += 1
-                        heal(array)
-                        # A DUE may have triggered a parity rebuild over
-                        # still-corrupt words (write-path poisoning
-                        # semantics); healing invalidates those entries, so
-                        # restore the ground-truth parities too.
-                        initialize = getattr(
-                            engine, "initialize_parities", None
-                        )
-                        if initialize is not None:
-                            initialize()
-                    if chaos is not None:
-                        # Dropped visits and undetected metadata corruption
-                        # must not leak across the interval boundary (the
-                        # independence invariant campaigns and checkpoints
-                        # both rely on): heal the array and run the
-                        # engine's metadata scrub.
-                        heal(array)
-                        audit = getattr(engine, "audit_metadata", None)
-                        if audit is not None:
-                            audit_report = audit(repair=True)
-                            for key in (
-                                "crc_faults", "recompute_faults", "rebuilt",
-                            ):
-                                if audit_report.get(key):
-                                    result.metadata["residual_" + key] += (
-                                        audit_report[key]
-                                    )
-                completed += 1
-                if tel.enabled:
-                    m_intervals.inc()
-                    if failed:
-                        m_failures.inc()
-                    m_faulty.observe(len(dirty))
-                    for label, count in counts.items():
-                        m_outcomes.labels(outcome=label).inc(count)
-                    m_interval.observe(time.perf_counter() - started)
-                snapshot = boundary_snapshot(completed)
-                if checkpointer is not None and checkpointer.due(completed):
-                    flush_checkpoint(snapshot)
-                if deadline is not None and deadline.expired():
-                    result.truncated = True
-                    result.stop_reason = deadline.reason
-                    break
-                progress.update()
-        except KeyboardInterrupt:
-            # Completed intervals are not discarded: roll back to the
-            # last interval boundary and return the partial aggregates.
-            result.truncated = True
-            result.stop_reason = "interrupted"
-            completed = int(snapshot["completed"])
-            aggregates = snapshot["aggregates"]
-            result.outcomes = Counter(aggregates["outcomes"])
-            result.interval_failures = int(aggregates["interval_failures"])
-            result.metadata = Counter(aggregates["metadata"])
-    if checkpointer is not None:
-        flush_checkpoint(snapshot)
-    result.intervals = completed
-    progress.finish()
-    if telemetry is not None:
-        stats = getattr(engine, "stats", None)
-        if stats is not None:
-            stats.publish_to(metrics, level=str(level))
-    return result
+    source = _MonteCarloSource(
+        engine, generator, injector, chaos, randomize_content
+    )
+    return _run_intervals(
+        engine, source, result, config, str(level),
+        telemetry=telemetry, progress=progress, checkpointer=checkpointer,
+        deadline=deadline, scrub_mode=scrub_mode,
+    )
 
 
 def run_group_campaign(

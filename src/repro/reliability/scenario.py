@@ -51,30 +51,20 @@ See docs/faultmodels.md for the spec format and semantics.
 from __future__ import annotations
 
 import json
-import time
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.engine import build_engine
-from repro.core.outcomes import Outcome, is_failure_label
-from repro.obs import NULL_PROGRESS, Telemetry, resolve_telemetry
+from repro.obs import NULL_PROGRESS, Telemetry
 from repro.parallel.sharding import interval_generator, interval_python_seed
 from repro.reliability.montecarlo import (
-    INTERVAL_BUCKETS,
     CampaignResult,
-    _dense_walk,
     _fill_random_through_engine,
     _require_scrub_mode,
-    heal,
+    _run_intervals,
 )
 from repro.resilience.chaos import ChaosInjector, ChaosPolicy
-from repro.resilience.checkpoint import (
-    Checkpointer,
-    Deadline,
-    build_payload,
-    require_config_match,
-)
+from repro.resilience.checkpoint import Checkpointer, Deadline
 from repro.sttram.array import STTRAMArray
 from repro.sttram.faults import (
     BurstFaultInjector,
@@ -487,6 +477,65 @@ def _setup_scheme(
     return engine
 
 
+@dataclass
+class _ScenarioSource:
+    """Fault source of a scenario campaign: a stream per interval.
+
+    Interval ``i`` (global index) draws its transients and bursts from
+    SeedSequence child ``(2 + i,)`` and gets a fresh chaos injector
+    seeded from ``(chaos_seed, i)``, so nothing needs restoring on resume
+    and a checkpoint carries no RNG state.  The stuck-at map and content
+    fill were fixed by :func:`_setup_scheme` before the loop starts.
+    """
+
+    scenario: FaultScenario
+    seed: int
+    interval_start: int
+    chaos_policy: Optional[ChaosPolicy]
+    chaos_seed: int
+    backend: object
+    stream: object = None
+
+    kind = "scenario"
+    #: Chaos intervals re-canonicalize parities too, so the state entering
+    #: every interval is a pure function of the scenario config.
+    recanonicalize_on_chaos = True
+
+    def begin(self, resume: Optional[Dict[str, object]]) -> None:
+        """Nothing to restore: every stream re-derives from its index."""
+
+    def interval(self, index: int) -> Optional[ChaosInjector]:
+        """Derive interval ``index``'s fault stream and chaos injector."""
+        global_index = self.interval_start + index
+        self.stream = interval_generator(self.seed, 2 + global_index)
+        if self.chaos_policy is None:
+            return None
+        return ChaosInjector(
+            self.chaos_policy,
+            seed=interval_python_seed(self.chaos_seed, global_index),
+        )
+
+    def inject(self, array: STTRAMArray) -> None:
+        """Inject transients, then bursts."""
+        scenario = self.scenario
+        if scenario.transient_ber > 0:
+            TransientFaultInjector(
+                array.line_bits, scenario.transient_ber, self.stream,
+                backend=self.backend,
+            ).inject_frames(array)
+        burst = scenario.build_burst_injector(
+            array.line_bits, self.stream, backend=self.backend
+        )
+        if burst is not None:
+            burst.inject_frames(array)
+
+    def aggregates(self) -> Dict[str, object]:
+        return {}
+
+    def rng_block(self) -> Dict[str, object]:
+        return {}
+
+
 def run_scenario_campaign(
     scheme: str,
     scenario: FaultScenario,
@@ -520,7 +569,9 @@ def run_scenario_campaign(
     the sparse fast path (default) or the dense audit walk; outcome
     counters are bit-identical between them -- permanently-dirty
     stuck lines stay in the dirty set, which is what keeps the sparse
-    visit schedule complete.
+    visit schedule complete.  The interval loop itself is the Monte-Carlo
+    one (:func:`repro.reliability.montecarlo._run_intervals`), so
+    telemetry, checkpoints and interrupts behave identically.
     """
     _require_scrub_mode(scrub_mode)
     if scheme not in SCHEMES:
@@ -529,28 +580,9 @@ def run_scenario_campaign(
         raise ValueError("intervals must be non-negative")
     if interval_start < 0:
         raise ValueError("interval_start must be non-negative")
-    tel = resolve_telemetry(telemetry)
     engine = _setup_scheme(scheme, group_size, scenario, seed, backend)
-    kernels = getattr(engine, "backend", None)
-    if telemetry is not None:
-        attach = getattr(engine, "attach_telemetry", None)
-        if attach is not None:
-            attach(telemetry)
     array = engine.array
-    m_intervals = tel.metrics.counter(
-        "scenario_intervals_total", "Scenario campaign intervals completed."
-    )
-    m_outcomes = tel.metrics.counter(
-        "scenario_outcomes_total",
-        "Line outcomes accumulated across scenario intervals.",
-        labels=("outcome",),
-    )
-    m_interval_time = tel.metrics.histogram(
-        "scenario_interval_seconds",
-        "Wall-clock time per scenario interval (inject + scrub + heal).",
-        buckets=INTERVAL_BUCKETS,
-    )
-    config_fingerprint: Dict[str, object] = {
+    config: Dict[str, object] = {
         "kind": "scenario",
         "scheme": scheme,
         "group_size": group_size,
@@ -570,140 +602,12 @@ def run_scenario_campaign(
         interval_s=interval_s,
         lines=array.num_lines,
     )
-    start = 0
-    resume = checkpointer.resume if checkpointer is not None else None
-    if resume is not None:
-        require_config_match(resume, config_fingerprint)
-        start = int(resume["completed"])
-        aggregates = resume["aggregates"]
-        result.outcomes.update(aggregates.get("outcomes", {}))
-        result.interval_failures = int(aggregates.get("interval_failures", 0))
-        result.metadata.update(aggregates.get("metadata", {}))
-
-    def boundary_snapshot(completed: int) -> Dict[str, object]:
-        aggregates = {
-            "outcomes": dict(result.outcomes),
-            "interval_failures": result.interval_failures,
-            "metadata": dict(result.metadata),
-        }
-        # No RNG block: every stream re-derives from (seed, index).
-        return build_payload(
-            "scenario", config_fingerprint, completed, aggregates, {}
-        )
-
-    completed = start
-    snapshot = boundary_snapshot(start)
-    tracer = tel.tracer
-    with tracer.span(
-        "scenario_campaign", scheme=scheme, intervals=intervals,
-        lines=array.num_lines,
-    ):
-        try:
-            for relative in range(start, intervals):
-                started = time.perf_counter() if tel.enabled else 0.0
-                index = interval_start + relative
-                stream = interval_generator(seed, 2 + index)
-                chaos = (
-                    ChaosInjector(
-                        chaos_policy,
-                        seed=interval_python_seed(chaos_seed, index),
-                    )
-                    if chaos_policy is not None
-                    else None
-                )
-                with tracer.span("phase_inject"):
-                    if chaos is not None and hasattr(engine, "_tables"):
-                        # Metadata chaos needs a parity-table surface;
-                        # schemes without one (plain per-line ECC) still
-                        # see the schedule chaos below.
-                        result.metadata.update(chaos.corrupt_metadata(engine))
-                    if scenario.transient_ber > 0:
-                        TransientFaultInjector(
-                            array.line_bits, scenario.transient_ber, stream,
-                            backend=kernels,
-                        ).inject_frames(array)
-                    burst = scenario.build_burst_injector(
-                        array.line_bits, stream, backend=kernels
-                    )
-                    if burst is not None:
-                        burst.inject_frames(array)
-                    # The dirty set is the union of this interval's hits
-                    # and the permanently-dirty stuck lines.
-                    dirty = array.dirty_frames()
-                    visits = dirty
-                    if chaos is not None:
-                        visits, applied = chaos.perturb_visits(visits)
-                        result.metadata.update(applied)
-                with tracer.span("phase_scrub"):
-                    if scrub_mode == "dense":
-                        counts = engine.scrub_frames(
-                            _dense_walk(array.num_lines, dirty, visits)
-                        )
-                    else:
-                        sparse_counts = Counter(engine.scrub_frames(visits))
-                        bulk_clean = array.num_lines - len(dirty)
-                        account = getattr(engine, "account_bulk_clean", None)
-                        if account is not None:
-                            account(bulk_clean)
-                        sparse_counts[Outcome.CLEAN.value] += bulk_clean
-                        counts = dict(sparse_counts)
-                result.outcomes.update(counts)
-                failed = any(
-                    count and is_failure_label(label)
-                    for label, count in counts.items()
-                )
-                with tracer.span("phase_correct"):
-                    if failed:
-                        result.interval_failures += 1
-                    if failed or chaos is not None:
-                        # Re-canonicalize: heal to the boundary state
-                        # (stored == golden through stuck bits) and
-                        # restore ground-truth parities, so interval
-                        # i + 1 starts from the pure-function-of-config
-                        # state regardless of what this interval broke.
-                        heal(array)
-                        initialize = getattr(
-                            engine, "initialize_parities", None
-                        )
-                        if initialize is not None:
-                            initialize()
-                    else:
-                        heal(array)
-                    if chaos is not None:
-                        audit = getattr(engine, "audit_metadata", None)
-                        if audit is not None:
-                            audit_report = audit(repair=True)
-                            for key in (
-                                "crc_faults", "recompute_faults", "rebuilt",
-                            ):
-                                if audit_report.get(key):
-                                    result.metadata["residual_" + key] += (
-                                        audit_report[key]
-                                    )
-                completed += 1
-                if tel.enabled:
-                    m_intervals.inc()
-                    for label, count in counts.items():
-                        m_outcomes.labels(outcome=label).inc(count)
-                    m_interval_time.observe(time.perf_counter() - started)
-                snapshot = boundary_snapshot(completed)
-                if checkpointer is not None and checkpointer.due(completed):
-                    checkpointer.save(snapshot)
-                if deadline is not None and deadline.expired():
-                    result.truncated = True
-                    result.stop_reason = deadline.reason
-                    break
-                progress.update()
-        except KeyboardInterrupt:
-            result.truncated = True
-            result.stop_reason = "interrupted"
-            completed = int(snapshot["completed"])
-            aggregates = snapshot["aggregates"]
-            result.outcomes = Counter(aggregates["outcomes"])
-            result.interval_failures = int(aggregates["interval_failures"])
-            result.metadata = Counter(aggregates["metadata"])
-    if checkpointer is not None:
-        checkpointer.save(snapshot)
-    result.intervals = completed
-    progress.finish()
-    return result
+    source = _ScenarioSource(
+        scenario, seed, interval_start, chaos_policy, chaos_seed,
+        getattr(engine, "backend", None),
+    )
+    return _run_intervals(
+        engine, source, result, config, scheme,
+        telemetry=telemetry, progress=progress, checkpointer=checkpointer,
+        deadline=deadline, scrub_mode=scrub_mode,
+    )

@@ -38,77 +38,24 @@ import numpy as np
 
 from repro.coding.bitvec import mask_of, popcount, random_bits
 from repro.core.rng import SeedLike, resolve_rng
-from repro.kernels.planes import pack_line, unpack_line, words_per_line
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (faults imports array)
     from repro.kernels.interface import KernelBackend
     from repro.sttram.faults import PermanentFaultMap
 
-#: Valid ``STTRAMArray(storage=...)`` modes.
-STORAGE_MODES = ("list", "planes")
-
-
-class _PlaneStore:
-    """List-protocol facade over an ``(N, words_per_line)`` uint64 matrix.
-
-    Lines read and write as Python ints (so every existing call site and
-    the reference backend work unchanged), while the backing store stays
-    a contiguous bit-plane matrix the numpy kernels can reduce over
-    without repacking (see :meth:`STTRAMArray.recompute_dirty_frames`).
-    """
-
-    __slots__ = ("_planes",)
-
-    def __init__(self, num_lines: int, line_bits: int) -> None:
-        self._planes = np.zeros(
-            (num_lines, words_per_line(line_bits)), dtype=np.uint64
-        )
-
-    @property
-    def planes(self) -> np.ndarray:
-        """The backing ``(N, words_per_line)`` uint64 matrix."""
-        return self._planes
-
-    def __getitem__(self, index: int) -> int:
-        return unpack_line(self._planes[index])
-
-    def __setitem__(self, index: int, value: int) -> None:
-        self._planes[index] = pack_line(value, self._planes.shape[1] * 64)
-
-    def __len__(self) -> int:
-        return self._planes.shape[0]
-
-    def __iter__(self) -> Iterator[int]:
-        raw = self._planes.tobytes()
-        nbytes = self._planes.shape[1] * 8
-        for offset in range(0, len(raw), nbytes):
-            yield int.from_bytes(raw[offset:offset + nbytes], "little")
-
-
 class STTRAMArray:
     """Fixed-geometry array of ``num_lines`` lines of ``line_bits`` bits."""
 
-    def __init__(
-        self, num_lines: int, line_bits: int, *, storage: str = "list"
-    ) -> None:
+    def __init__(self, num_lines: int, line_bits: int) -> None:
         if num_lines <= 0:
             raise ValueError("num_lines must be positive")
         if line_bits <= 0:
             raise ValueError("line_bits must be positive")
-        if storage not in STORAGE_MODES:
-            raise ValueError(
-                f"unknown storage mode {storage!r}; expected one of {STORAGE_MODES}"
-            )
         self.num_lines = num_lines
         self.line_bits = line_bits
-        self.storage = storage
         self._mask = mask_of(line_bits)
-        if storage == "planes":
-            self._stored = _PlaneStore(num_lines, line_bits)
-            self._golden = _PlaneStore(num_lines, line_bits)
-        else:
-            self._stored = [0] * num_lines
-            self._golden = [0] * num_lines
+        self._stored = [0] * num_lines
+        self._golden = [0] * num_lines
         self._dirty: Set[int] = set()
         self._fault_map: Optional["PermanentFaultMap"] = None
 
@@ -271,21 +218,17 @@ class STTRAMArray:
     ) -> List[int]:
         """Rebuild the dirty set from a full stored-vs-golden sweep.
 
-        The incremental set is exact by construction; this is the
-        audit / bulk path (checkpoint restore, equivalence tests) routed
-        through the kernel backend's dirty-population reduction: a
-        whole-matrix compare in plane mode, the plain zip walk in list
-        mode.  Returns the sorted dirty indices.
+        The incremental set is exact by construction; this sweep is its
+        completeness oracle.  Tests compare it against the incremental
+        set after arbitrary write/inject/restore sequences, because the
+        sparse scrub fast path is only sound if no diverging frame is
+        ever missing from the set.  The comparison runs through the
+        kernel backend's dirty-population reduction.  Returns the sorted
+        dirty indices.
         """
         from repro.kernels import resolve_backend
 
-        kernels = resolve_backend(backend)
-        if isinstance(self._stored, _PlaneStore):
-            dirty = kernels.dirty_from_planes(
-                self._stored.planes, self._golden.planes
-            )
-        else:
-            dirty = kernels.dirty_lines(self._stored, self._golden)
+        dirty = resolve_backend(backend).dirty_lines(self._stored, self._golden)
         self._dirty = set(dirty)
         return sorted(dirty)
 
@@ -312,17 +255,9 @@ class STTRAMArray:
 
         Semantically identical to ``write(index, value)`` over every
         index; cache ``_format`` paths route here so the per-line walk
-        lives in one sanctioned place next to the storage it owns.  In
-        plane mode with no stuck-at map the fill is a single broadcast
-        into the bit-plane matrix.
+        lives in one sanctioned place next to the storage it owns.
         """
         self._check(0, value)
-        if self._fault_map is None and isinstance(self._stored, _PlaneStore):
-            packed = pack_line(value, self._stored.planes.shape[1] * 64)
-            self._stored.planes[:] = packed
-            self._golden.planes[:] = packed
-            self._dirty.clear()
-            return
         # The sanctioned scalar fill: stuck bits must re-assert per line.
         # repro-lint: disable=RPR009
         for index in range(self.num_lines):

@@ -18,31 +18,72 @@ from repro.cli import main
 from repro.obs import ProgressReporter, Telemetry
 from repro.reliability.montecarlo import run_group_campaign
 from repro.reliability.raresim import ConditionalGroupSimulator
+from repro.reliability.scenario import (
+    BurstSpec,
+    FaultScenario,
+    run_scenario_campaign,
+)
+from repro.resilience import Checkpointer
 import random
 
 # Small, failure-rich campaign: high accelerated BER over 8-line groups
 # exercises ECC-1, RAID-4, SDR, and Hash-2 within a few intervals.
 CAMPAIGN = dict(level="Z", ber=2e-3, trials=4, group_size=8)
 SEED = 5
+#: The scenario-kind twin of CAMPAIGN: same scheme, geometry and BER,
+#: plus bursts so the scenario source's own injection path runs.
+SCENARIO = FaultScenario(
+    transient_ber=CAMPAIGN["ber"],
+    burst=BurstSpec.fixed_length(rate=0.05, length=3, interleave=2),
+)
+
+
+def _run_campaign_kind(kind, checkpoint_path, telemetry=None):
+    """One small checkpointed campaign of either kind, same loop."""
+    checkpointer = Checkpointer(path=str(checkpoint_path), every=2)
+    if kind == "montecarlo":
+        return run_group_campaign(
+            **CAMPAIGN, rng=np.random.default_rng(SEED), telemetry=telemetry,
+            checkpointer=checkpointer,
+        )
+    return run_scenario_campaign(
+        CAMPAIGN["level"], SCENARIO, CAMPAIGN["trials"],
+        group_size=CAMPAIGN["group_size"], seed=SEED, telemetry=telemetry,
+        checkpointer=checkpointer,
+    )
 
 
 class TestBitIdenticalResults:
-    def test_campaign_identical_with_and_without_telemetry(self):
-        bare = run_group_campaign(
-            **CAMPAIGN, rng=np.random.default_rng(SEED)
-        )
+    @pytest.mark.parametrize("kind", ["montecarlo", "scenario"])
+    def test_campaign_identical_with_and_without_telemetry(
+        self, kind, tmp_path
+    ):
+        bare = _run_campaign_kind(kind, tmp_path / "bare.json")
         telemetry = Telemetry.create()
-        instrumented = run_group_campaign(
-            **CAMPAIGN, rng=np.random.default_rng(SEED), telemetry=telemetry
+        instrumented = _run_campaign_kind(
+            kind, tmp_path / "instrumented.json", telemetry
         )
-        assert instrumented.outcomes == bare.outcomes
-        assert instrumented.interval_failures == bare.interval_failures
-        assert instrumented.failure_probability == bare.failure_probability
-        # ... and the instrumented run actually recorded something.
-        outcomes = telemetry.metrics.get("campaign_outcomes_total")
+        assert instrumented.as_dict() == bare.as_dict()
+        assert (tmp_path / "instrumented.json").read_bytes() == (
+            tmp_path / "bare.json"
+        ).read_bytes()
+        # ... and the instrumented run actually recorded something, under
+        # the same names whichever kind ran.
+        metrics = telemetry.metrics
+        outcomes = metrics.get("campaign_outcomes_total")
         assert outcomes is not None
         total = sum(child.value for _, child in outcomes.samples())
         assert total == sum(bare.outcomes.values())
+        ((_, intervals),) = metrics.get("campaign_intervals_total").samples()
+        assert intervals.value == CAMPAIGN["trials"]
+        ((_, writes),) = metrics.get(
+            "campaign_checkpoint_writes_total"
+        ).samples()
+        assert writes.value == len(
+            telemetry.tracer.spans_named("checkpoint_write")
+        ) > 0
+        stat = metrics.get("sudoku_engine_stat")
+        assert stat.labels(level="Z", stat="group_scans").value > 0
 
     def test_raresim_identical_with_and_without_telemetry(self):
         def run(telemetry):
@@ -150,6 +191,28 @@ class TestCliExport:
         assert manifest["seed"] == SEED
         assert manifest["config"]["level"] == "Z"
         assert manifest["durations_s"]["total"] > 0
+
+    def test_raresim_manifest_records_the_effective_scenario(
+        self, tmp_path, capsys
+    ):
+        """The scenario's transient BER overrides --ber; the manifest says so."""
+        scenario = FaultScenario(
+            transient_ber=7e-4,
+            burst=BurstSpec.fixed_length(rate=0.01, length=2),
+        )
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(scenario.as_dict()))
+        manifest_path = tmp_path / "manifest.json"
+        code = main([
+            "raresim", "--level", "Z", "--ber", "1e-3", "--trials", "3",
+            "--group-size", "16", "--num-groups", "16", "--seed", "3",
+            "--scenario", str(scenario_path),
+            "--manifest-out", str(manifest_path),
+        ])
+        assert code == 0
+        config = json.loads(manifest_path.read_text())["config"]
+        assert config["ber"] == 7e-4
+        assert config["scenario"] == scenario.as_dict()
 
     def test_campaign_results_unchanged_by_flags(self, tmp_path, capsys):
         """The CLI table is byte-identical with and without telemetry."""

@@ -179,60 +179,23 @@ class TestCampaignAndRaresimBackends:
         assert results[0] == results[1]
 
 
-class TestPlaneStorageMode:
-    """The plane-backed array storage is observably identical to lists."""
-
-    @staticmethod
-    def _twin_arrays(num_lines=12, line_bits=553, seed=31):
-        from repro.sttram.array import STTRAMArray
-
-        rng = random.Random(seed)
-        arrays = [
-            STTRAMArray(num_lines, line_bits, storage=storage)
-            for storage in ("list", "planes")
-        ]
-        for index in range(num_lines):
-            value = random_bits(line_bits, rng)
-            for array in arrays:
-                array.write(index, value)
-        return arrays
-
-    def test_write_inject_restore_agree(self):
-        list_array, plane_array = self._twin_arrays()
-        rng = random.Random(32)
-        for index in range(len(list_array)):
-            if rng.random() < 0.5:
-                vector = random_bits(553, rng)
-                list_array.inject(index, vector)
-                plane_array.inject(index, vector)
-        for index in range(len(list_array)):
-            assert plane_array.read(index) == list_array.read(index)
-            assert plane_array.golden(index) == list_array.golden(index)
-            assert plane_array.is_dirty(index) == list_array.is_dirty(index)
-        assert plane_array.dirty_frames() == list_array.dirty_frames()
-        assert list(plane_array) == list(list_array)
+class TestDirtyIndex:
+    """The full-sweep dirty oracle agrees with the incremental set."""
 
     def test_recompute_dirty_frames_agrees_across_backends(self):
-        list_array, plane_array = self._twin_arrays(seed=33)
-        rng = random.Random(34)
-        for index in (1, 4, 9):
-            vector = 1 << rng.randrange(553)
-            list_array.inject(index, vector)
-            plane_array.inject(index, vector)
-        expected = list_array.dirty_frames()
-        for backend in BACKEND_NAMES:
-            assert (
-                plane_array.recompute_dirty_frames(backend) == expected
-            )
-            assert (
-                list_array.recompute_dirty_frames(backend) == expected
-            )
-
-    def test_invalid_storage_mode_rejected(self):
         from repro.sttram.array import STTRAMArray
 
-        with pytest.raises(ValueError, match="storage"):
-            STTRAMArray(4, 64, storage="sqlite")
+        rng = random.Random(33)
+        array = STTRAMArray(12, 553)
+        for index in range(len(array)):
+            array.write(index, random_bits(553, rng))
+        rng = random.Random(34)
+        for index in (1, 4, 9):
+            array.inject(index, 1 << rng.randrange(553))
+        expected = array.dirty_frames()
+        assert expected == [1, 4, 9]
+        for backend in BACKEND_NAMES:
+            assert array.recompute_dirty_frames(backend) == expected
 
 
 class TestPlanePacking:
